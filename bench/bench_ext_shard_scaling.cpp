@@ -6,8 +6,7 @@
 //
 //   * throughput: events/s of the whole trial (arrivals, departures, DB
 //     fetches, joins) and the speedup over the shard_jobs=1 serial loop on
-//     the *same* system — the number scripts/bench_shard.sh records in
-//     BENCH_shard.json;
+//     the *same* system;
 //   * determinism: every cell in a server row must report bit-identical
 //     E[T(N)] regardless of K (the engine's K-invariance contract) — the
 //     harness aborts with a nonzero exit if any cell drifts.
@@ -16,8 +15,8 @@
 // sharded run occupies K+1 threads (K server shards + the coordinator), so
 // on a 1-core container every K>1 cell time-slices and the "speedup"
 // column reads ~1x or below. The MACHINE line reports hardware_concurrency
-// so bench_shard.sh can gate the ≥3x-at-8-shards claim on cores >= 8
-// instead of publishing a number the hardware cannot have produced.
+// so scripts/ci.sh --bench-smoke can gate its 2x-at-8-shards floor on
+// cores >= 8 instead of judging a number the hardware cannot produce.
 #include <chrono>
 #include <cstdio>
 #include <cstring>

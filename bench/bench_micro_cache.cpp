@@ -14,8 +14,6 @@
 #include "hashing/consistent_hash.h"
 #include "hashing/hashes.h"
 #include "hashing/weighted_mapper.h"
-#include "legacy_cache.h"
-#include "legacy_workload.h"
 #include "workload/key_table.h"
 #include "workload/keyspace.h"
 #include "workload/size_model.h"
@@ -99,13 +97,11 @@ void BM_WeightedMapperLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightedMapperLookup);
 
-// ---- memoized workload metadata vs the legacy string/RNG/hash path -------
-// Each pair below runs the production path and its pre-optimisation twin
-// (*_LegacyWorkload) interleaved in one process over the same pre-sampled
-// Zipf rank stream; BENCH_workload.json is built from these medians.
+// ---- memoized workload metadata -----------------------------------------
+// The per-arrival KeyTable lookups, over a pre-sampled Zipf rank stream.
 
-/// Ranks drawn once so both twins replay the identical access pattern and
-/// neither pays the Zipf rejection-inversion inside the timed loop.
+/// Ranks drawn once so the Zipf rejection-inversion stays outside the timed
+/// loop.
 std::vector<std::uint64_t> presampled_ranks(std::uint64_t n_keys,
                                             std::size_t count) {
   const dist::Zipf zipf(n_keys, 0.99);
@@ -121,7 +117,7 @@ void BM_KeyMaterializeAndMap(benchmark::State& state) {
   const workload::KeySpace keys(kBenchKeys, 0.99);
   const hashing::WeightedMapper mapper({0.3, 0.25, 0.2, 0.15, 0.1});
   // Eager build: the once-per-trial table construction is setup, not the
-  // per-arrival path this pair isolates (a lazy table would smear chunk
+  // per-arrival path this bench isolates (a lazy table would smear chunk
   // builds across the first timed iterations).
   workload::KeyTable table(keys, mapper, nullptr,
                            workload::KeyTable::Build::kEager);
@@ -133,20 +129,6 @@ void BM_KeyMaterializeAndMap(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KeyMaterializeAndMap);
-
-void BM_KeyMaterializeAndMap_LegacyWorkload(benchmark::State& state) {
-  const workload::KeySpace keys(kBenchKeys, 0.99);
-  const hashing::WeightedMapper mapper({0.3, 0.25, 0.2, 0.15, 0.1});
-  const auto ranks = presampled_ranks(kBenchKeys, 1 << 16);
-  std::string key_buf;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    keys.key_for_rank(ranks[i++ & (ranks.size() - 1)], key_buf);
-    benchmark::DoNotOptimize(mapper.server_for(key_buf));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KeyMaterializeAndMap_LegacyWorkload);
 
 void BM_RefillValueMetadata(benchmark::State& state) {
   const workload::KeySpace keys(kBenchKeys, 0.99);
@@ -165,33 +147,14 @@ void BM_RefillValueMetadata(benchmark::State& state) {
 }
 BENCHMARK(BM_RefillValueMetadata);
 
-void BM_RefillValueMetadata_LegacyWorkload(benchmark::State& state) {
-  const workload::KeySpace keys(kBenchKeys, 0.99);
-  const workload::ValueSizeModel values(214.476, 0.348238, 1, 4096);
-  const auto ranks = presampled_ranks(kBenchKeys, 1 << 16);
-  std::string key_buf;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::uint64_t rank = ranks[i++ & (ranks.size() - 1)];
-    keys.key_for_rank(rank, key_buf);
-    dist::Rng vr(hashing::mix64(rank ^ workload::kValueSeedSalt));
-    benchmark::DoNotOptimize(hashing::fnv1a64(key_buf) + values.sample(vr));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RefillValueMetadata_LegacyWorkload);
-
-// Both twins walk the identical {key, hash} records — mirroring the
-// KeyTable layout, where the memoized hash arrives on the same cache
-// lines as the key — so the pair isolates "hash loaded" vs "hash
-// recomputed", not a memory-traffic difference between the benches.
+// {key, hash} records mirroring the KeyTable layout, where the memoized
+// hash arrives on the same cache lines as the key.
 struct KeyedEntry {
   std::string key;
   std::uint64_t hash;
 };
 
-template <class Store>
-std::vector<KeyedEntry> populated_entries(Store& store) {
+std::vector<KeyedEntry> populated_entries(cache::LruStore& store) {
   const std::string value(200, 'v');
   std::vector<KeyedEntry> entries;
   entries.reserve(50'000);
@@ -219,36 +182,18 @@ void BM_LruStoreGetPrehashed(benchmark::State& state) {
 }
 BENCHMARK(BM_LruStoreGetPrehashed);
 
-void BM_LruStoreGetPrehashed_LegacyWorkload(benchmark::State& state) {
+// ---- the flat open-addressing index (flat_index.h) -----------------------
+// Prehashed entry points, so these isolate the index structure, not
+// hashing.
+
+// Ranks presampled outside the timed loop (the Zipf rejection-inversion
+// costs as much as the lookup itself and its run-to-run noise would wash
+// out the probe cost); the loop times get = one index probe + LRU splice.
+void BM_LruStoreGetPresampled(benchmark::State& state) {
   cache::SlabAllocator::Config cfg;
   cfg.memory_limit = 32u << 20;
   cache::LruStore store(cfg);
   const auto entries = populated_entries(store);
-  const dist::Zipf zipf(50'000, 1.0);
-  dist::Rng rng(1);
-  for (auto _ : state) {
-    const KeyedEntry& e = entries[zipf.sample(rng)];
-    benchmark::DoNotOptimize(store.get(e.key, 0.0));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LruStoreGetPrehashed_LegacyWorkload);
-
-// ---- flat open-addressing index vs the unordered_map index ---------------
-// Each pair below runs the production store (flat_index.h) and the verbatim
-// pre-rewrite std::unordered_map store (legacy_cache.h, *_LegacyCache)
-// over the same pre-generated key/hash stream; both sides use the
-// prehashed entry points, so the pairs isolate the index *structure* —
-// one-cache-line linear probes vs chained node walks, and backward-shift
-// deletion vs node free — not hashing. scripts/bench_cache.sh folds the
-// medians into BENCH_cache.json.
-
-// Ranks presampled outside the timed loop (the Zipf rejection-inversion
-// costs as much as the lookup itself and its run-to-run noise would wash
-// out the index ratio); the loop times get = one index probe + LRU splice.
-template <class Store>
-void get_presampled_loop(benchmark::State& state, Store& store,
-                         const std::vector<KeyedEntry>& entries) {
   const auto ranks = presampled_ranks(entries.size(), 1 << 16);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -257,31 +202,15 @@ void get_presampled_loop(benchmark::State& state, Store& store,
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_LruStoreGetPresampled(benchmark::State& state) {
-  cache::SlabAllocator::Config cfg;
-  cfg.memory_limit = 32u << 20;
-  cache::LruStore store(cfg);
-  const auto entries = populated_entries(store);
-  get_presampled_loop(state, store, entries);
-}
 BENCHMARK(BM_LruStoreGetPresampled);
-
-void BM_LruStoreGetPresampled_LegacyCache(benchmark::State& state) {
-  cache::SlabAllocator::Config cfg;
-  cfg.memory_limit = 32u << 20;
-  bench::legacy_cache::LruStore store(cfg);
-  const auto entries = populated_entries(store);
-  get_presampled_loop(state, store, entries);
-}
-BENCHMARK(BM_LruStoreGetPresampled_LegacyCache);
 
 // Index mutation under steady eviction: 200K keys cycled through a store
 // that holds ~50K, so every set is an insert plus (usually) an
-// eviction-driven erase. The flat index pays a probe + backward shift; the
-// unordered_map pays a node allocation, a bucket relink and a node free.
-template <class Store>
-void set_churn_loop(benchmark::State& state, Store& store) {
+// eviction-driven erase: a probe + backward shift.
+void BM_LruStoreSetChurn(benchmark::State& state) {
+  cache::SlabAllocator::Config cfg;
+  cfg.memory_limit = 32u << 20;
+  cache::LruStore store(cfg);
   std::vector<KeyedEntry> entries;
   entries.reserve(200'000);
   for (int i = 0; i < 200'000; ++i) {
@@ -296,22 +225,7 @@ void set_churn_loop(benchmark::State& state, Store& store) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_LruStoreSetChurn(benchmark::State& state) {
-  cache::SlabAllocator::Config cfg;
-  cfg.memory_limit = 32u << 20;
-  cache::LruStore store(cfg);
-  set_churn_loop(state, store);
-}
 BENCHMARK(BM_LruStoreSetChurn);
-
-void BM_LruStoreSetChurn_LegacyCache(benchmark::State& state) {
-  cache::SlabAllocator::Config cfg;
-  cfg.memory_limit = 32u << 20;
-  bench::legacy_cache::LruStore store(cfg);
-  set_churn_loop(state, store);
-}
-BENCHMARK(BM_LruStoreSetChurn_LegacyCache);
 
 cluster::EndToEndConfig real_cache_bench_config() {
   cluster::EndToEndConfig cfg;
@@ -343,28 +257,15 @@ void BM_EndToEndRealCacheWorkload(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndRealCacheWorkload)->Unit(benchmark::kMillisecond);
 
-void BM_EndToEndRealCacheWorkload_LegacyWorkload(benchmark::State& state) {
-  const cluster::EndToEndConfig cfg = real_cache_bench_config();
-  std::uint64_t keys_done = 0;
-  for (auto _ : state) {
-    const cluster::EndToEndResult r =
-        bench::legacy_workload::run_end_to_end(cfg);
-    keys_done += r.keys_completed;
-    benchmark::DoNotOptimize(r.total.mean);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(keys_done));
-}
-BENCHMARK(BM_EndToEndRealCacheWorkload_LegacyWorkload)
-    ->Unit(benchmark::kMillisecond);
-
 // The large-keyspace fast path end to end: a million-key real-cache trial
 // with the KeyTable capped at 48 MiB — just under the ~50 MiB an unbounded
 // million-key table occupies, so the budget is genuinely active (the Zipf
 // tail keeps evicting and rebuilding cold chunks) without degenerating
 // into a rebuild per access. Wall-clock includes the lazy first-touch
 // chunk builds, which dominate a single trial at this keyspace — exactly
-// the cost profile the figure harnesses see. bench_ext_large_keyspace
-// carries the RSS measurement; this bench is the keys/s tripwire
+// the cost profile the figure harnesses see. perfbench's cold_keyspace
+// workload carries the RSS measurement and test_key_table_eviction the
+// budget contract; this bench is the keys/s tripwire
 // (scripts/ci.sh --bench-smoke).
 void BM_EndToEndMillionKeyBoundedTable(benchmark::State& state) {
   cluster::EndToEndConfig cfg;

@@ -14,7 +14,6 @@
 #include "dist/exponential.h"
 #include "dist/generalized_pareto.h"
 #include "dist/rng.h"
-#include "legacy_workload.h"
 
 namespace {
 
@@ -86,13 +85,9 @@ void BM_LatencyModelEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencyModelEstimate);
 
-// ---- categorical sampling: alias table vs classical CDF search ----------
+// ---- categorical sampling: the alias table ----------------------------
 // Every key of every assembled request draws its server from a Discrete;
-// these pairs isolate that draw. Both samplers consume exactly one uniform
-// per draw from the same Rng, so the pair differs only in the inversion:
-// O(1) alias lookup vs O(log K) binary search over the cumulative table.
-// The *_LegacyWorkload twin is the pre-optimisation reference measured in
-// the same process (see legacy_workload.h).
+// these isolate that draw: one uniform, one O(1) alias lookup.
 
 std::vector<double> zipfish_weights(std::size_t k) {
   std::vector<double> w(k);
@@ -110,16 +105,6 @@ void BM_DiscreteSampleK16(benchmark::State& state) {
 }
 BENCHMARK(BM_DiscreteSampleK16);
 
-void BM_DiscreteSampleK16_LegacyWorkload(benchmark::State& state) {
-  const bench::legacy_workload::CdfDiscrete d(zipfish_weights(16));
-  dist::Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(d.sample(rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DiscreteSampleK16_LegacyWorkload);
-
 void BM_DiscreteSampleK1024(benchmark::State& state) {
   const dist::Discrete d(zipfish_weights(1024));
   dist::Rng rng(7);
@@ -129,16 +114,6 @@ void BM_DiscreteSampleK1024(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DiscreteSampleK1024);
-
-void BM_DiscreteSampleK1024_LegacyWorkload(benchmark::State& state) {
-  const bench::legacy_workload::CdfDiscrete d(zipfish_weights(1024));
-  dist::Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(d.sample(rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DiscreteSampleK1024_LegacyWorkload);
 
 void BM_CliffUtilization(benchmark::State& state) {
   const core::CliffAnalyzer c;

@@ -3,11 +3,8 @@
 // cycles, batch-source emission, end-to-end events/sec. These determine how
 // much simulated time the figure harnesses can afford.
 //
-// Each kernel-bound workload is measured twice: once on sim::Simulator (the
-// inline-callback calendar) and once on the pre-rewrite kernel preserved in
-// legacy_sim.h, so a single run yields a machine-independent baseline-vs-
-// after comparison. scripts/bench_kernel.sh turns the JSON output into
-// BENCH_kernel.json.
+// scripts/ci.sh --bench-smoke holds the headline entries to absolute
+// floors; perfbench/ is the end-to-end harness.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -19,7 +16,6 @@
 #include "dist/exponential.h"
 #include "dist/generalized_pareto.h"
 #include "dist/rng.h"
-#include "legacy_sim.h"
 #include "sim/simulator.h"
 #include "sim/source.h"
 #include "sim/station.h"
@@ -29,14 +25,12 @@ namespace {
 using namespace mclat;
 
 // ---------------------------------------------------------------------------
-// Kernel-only workloads, templated over the kernel so the legacy baseline
-// runs the byte-identical scenario.
+// Kernel-only workloads.
 // ---------------------------------------------------------------------------
 
-template <typename Sim>
-void schedule_and_run_events(benchmark::State& state) {
+void BM_ScheduleAndRunEvents(benchmark::State& state) {
   for (auto _ : state) {
-    Sim s;
+    sim::Simulator s;
     for (int i = 0; i < 1024; ++i) {
       s.schedule_at(static_cast<double>(i % 37), [] {});
     }
@@ -45,22 +39,12 @@ void schedule_and_run_events(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
-
-void BM_ScheduleAndRunEvents(benchmark::State& state) {
-  schedule_and_run_events<sim::Simulator>(state);
-}
 BENCHMARK(BM_ScheduleAndRunEvents);
 
-void BM_ScheduleAndRunEvents_LegacyKernel(benchmark::State& state) {
-  schedule_and_run_events<bench::legacy::Simulator>(state);
-}
-BENCHMARK(BM_ScheduleAndRunEvents_LegacyKernel);
-
-template <typename Sim>
-void self_rescheduling_clock(benchmark::State& state) {
+void BM_SelfReschedulingClock(benchmark::State& state) {
   // The arrival-process pattern: one event that reschedules itself.
   for (auto _ : state) {
-    Sim s;
+    sim::Simulator s;
     int remaining = 1024;
     std::function<void()> tick = [&] {
       if (--remaining > 0) s.schedule_in(1.0, tick);
@@ -71,24 +55,14 @@ void self_rescheduling_clock(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
-
-void BM_SelfReschedulingClock(benchmark::State& state) {
-  self_rescheduling_clock<sim::Simulator>(state);
-}
 BENCHMARK(BM_SelfReschedulingClock);
 
-void BM_SelfReschedulingClock_LegacyKernel(benchmark::State& state) {
-  self_rescheduling_clock<bench::legacy::Simulator>(state);
-}
-BENCHMARK(BM_SelfReschedulingClock_LegacyKernel);
-
-template <typename Sim>
-void schedule_cancel_churn(benchmark::State& state) {
+void BM_ScheduleCancelChurn(benchmark::State& state) {
   // Timer-wheel abuse: every event is scheduled and then cancelled before
   // it can fire, the dominant pattern of retry/timeout layers. Exercises
   // cancellation cost and dead-entry disposal in the calendar.
   for (auto _ : state) {
-    Sim s;
+    sim::Simulator s;
     dist::Rng rng(7);
     std::vector<std::uint64_t> ids;
     ids.reserve(256);
@@ -105,24 +79,14 @@ void schedule_cancel_churn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
-
-void BM_ScheduleCancelChurn(benchmark::State& state) {
-  schedule_cancel_churn<sim::Simulator>(state);
-}
 BENCHMARK(BM_ScheduleCancelChurn);
 
-void BM_ScheduleCancelChurn_LegacyKernel(benchmark::State& state) {
-  schedule_cancel_churn<bench::legacy::Simulator>(state);
-}
-BENCHMARK(BM_ScheduleCancelChurn_LegacyKernel);
-
-template <typename Sim>
-void slot_recycling_mixed_horizon(benchmark::State& state) {
+void BM_SlotRecyclingMixedHorizon(benchmark::State& state) {
   // Steady-state calendar churn: a rotating population of pending events at
   // mixed horizons, every third one cancelled and replaced — the shape of a
   // cluster sim's in-flight request set.
   for (auto _ : state) {
-    Sim s;
+    sim::Simulator s;
     dist::Rng rng(11);
     std::array<std::uint64_t, 64> pending{};
     std::uint64_t fired = 0;
@@ -137,34 +101,22 @@ void slot_recycling_mixed_horizon(benchmark::State& state) {
       pending[j] = s.schedule_in(rng.uniform(), refill);
     }
     s.run_until(20.0);
-    s.step();  // drain one more to keep both kernels on the same schedule
     benchmark::DoNotOptimize(fired);
     state.counters["events"] = static_cast<double>(s.events_executed());
   }
 }
-
-void BM_SlotRecyclingMixedHorizon(benchmark::State& state) {
-  slot_recycling_mixed_horizon<sim::Simulator>(state);
-}
 BENCHMARK(BM_SlotRecyclingMixedHorizon);
 
-void BM_SlotRecyclingMixedHorizon_LegacyKernel(benchmark::State& state) {
-  slot_recycling_mixed_horizon<bench::legacy::Simulator>(state);
-}
-BENCHMARK(BM_SlotRecyclingMixedHorizon_LegacyKernel);
-
-template <typename Sim>
-void sbo_spill_oversized_capture(benchmark::State& state) {
+void BM_SboSpillOversizedCapture(benchmark::State& state) {
   // Captures past InlineCallback's inline buffer (64 B) take the rare heap
-  // fallback; the legacy kernel heap-allocated through std::function for
-  // the same capture. Guards the spill path against regressions.
+  // fallback. Guards the spill path against regressions.
   struct Fat {
     std::array<std::uint64_t, 24> payload;  // 192 B: 3x the inline buffer
   };
   static_assert(!sim::InlineCallback::stores_inline<
                 decltype([f = Fat{}] { benchmark::DoNotOptimize(&f); })>());
   for (auto _ : state) {
-    Sim s;
+    sim::Simulator s;
     Fat fat{};
     fat.payload[0] = 1;
     std::uint64_t sum = 0;
@@ -177,20 +129,10 @@ void sbo_spill_oversized_capture(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
-
-void BM_SboSpillOversizedCapture(benchmark::State& state) {
-  sbo_spill_oversized_capture<sim::Simulator>(state);
-}
 BENCHMARK(BM_SboSpillOversizedCapture);
 
-void BM_SboSpillOversizedCapture_LegacyKernel(benchmark::State& state) {
-  sbo_spill_oversized_capture<bench::legacy::Simulator>(state);
-}
-BENCHMARK(BM_SboSpillOversizedCapture_LegacyKernel);
-
 // ---------------------------------------------------------------------------
-// Station-level workloads (run on the production kernel only: stations are
-// compiled against sim::Simulator).
+// Station-level workloads.
 // ---------------------------------------------------------------------------
 
 void BM_MM1StationKeysPerSecond(benchmark::State& state) {
@@ -202,8 +144,7 @@ void BM_MM1StationKeysPerSecond(benchmark::State& state) {
     std::uint64_t id = 0;
     // Reschedule through a one-pointer trampoline, exactly as the cluster
     // simulators do: copying the std::function closure into the calendar
-    // per arrival measured the copy, not the station (it kept this pair's
-    // baseline artificially close — see DESIGN.md §4d).
+    // per arrival would measure the copy, not the station (DESIGN.md §4d).
     std::function<void()> arrive = [&] {
       st.arrive(id++);
       s.schedule_in(arr.exponential(62'500.0), [&arrive] { arrive(); });
@@ -215,37 +156,6 @@ void BM_MM1StationKeysPerSecond(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 62'500);
 }
 BENCHMARK(BM_MM1StationKeysPerSecond);
-
-// The same M/M/1 second on the pre-rewrite path end to end: legacy calendar
-// (priority_queue + unordered_map of std::function), legacy Rng
-// (std::generate_canonical), virtual service sampling, and a 32-byte
-// departure capture that exceeds libstdc++'s std::function SBO — i.e. one
-// heap allocation per scheduled event. This is the in-process baseline for
-// the headline keys/s ratio in BENCH_kernel.json.
-void BM_MM1StationKeysPerSecond_LegacyKernel(benchmark::State& state) {
-  for (auto _ : state) {
-    bench::legacy::Simulator s;
-    bench::legacy::ServiceStation st(
-        s, std::make_unique<bench::legacy::Exponential>(80'000.0),
-        bench::legacy::Rng(1), [](const sim::Departure&) {});
-    bench::legacy::Rng arr(2);
-    std::uint64_t id = 0;
-    // The legacy twin reschedules the way the seed simulators actually did:
-    // copying the std::function closure into the calendar per arrival (a
-    // heap allocation per key on this path). The production variant above
-    // uses the trampoline the production simulators use; each side runs
-    // its own era's idiom.
-    std::function<void()> arrive = [&] {
-      st.arrive(id++);
-      s.schedule_in(arr.exponential(62'500.0), arrive);
-    };
-    s.schedule_in(0.0, arrive);
-    s.run_until(1.0);
-    benchmark::DoNotOptimize(st.completed());
-  }
-  state.SetItemsProcessed(state.iterations() * 62'500);
-}
-BENCHMARK(BM_MM1StationKeysPerSecond_LegacyKernel);
 
 void BM_GixM1FacebookServerSecond(benchmark::State& state) {
   // One simulated second of the exact Table-3 per-server workload.

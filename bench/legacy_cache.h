@@ -9,10 +9,7 @@
 //   * tests/cache/test_flat_index_twin.cpp drives both stores through
 //     identical randomized set/set_sized/get/remove/TTL-expiry/flush
 //     sequences and requires every return value and the full StoreStats
-//     (including resident_bytes) to match sample-for-sample;
-//   * bench/bench_micro_cache.cpp measures the `_LegacyCache` twins
-//     interleaved with the production benches on the same machine, so the
-//     BENCH_cache.json speedups are same-run apples-to-apples.
+//     (including resident_bytes) to match sample-for-sample.
 //
 // The only edits relative to the pre-rewrite src/cache/lru_store.{h,cpp}
 // are (a) the namespace, (b) the same resident_bytes accounting and

@@ -1,6 +1,5 @@
 // legacy_cluster.h — the pre-engine cluster simulators, kept verbatim as
-// in-process twins for the engine equivalence suite (ctest label `cluster`)
-// and the bench floor in scripts/ci.sh.
+// in-process twins for the engine equivalence suite (ctest label `cluster`).
 //
 // PR 5 rebuilt EndToEndSim, TraceReplaySim and WorkloadDrivenSim on the
 // composable fork-join engine (src/cluster/engine/). The contract of that
@@ -10,8 +9,7 @@
 // combination the old code supported. These functions are that old code —
 // the three run() bodies copied unchanged (modulo namespace) at the commit
 // boundary — compiled into the same binary so the equivalence tests compare
-// both pipelines in-process, the same pattern as bench/legacy_sim.h
-// (PR 3) and bench/legacy_workload.h (PR 4).
+// both pipelines in-process.
 //
 // This is NOT production code: the simulators all run on the engine. Do
 // not grow features here; new fields on the config structs (the redundancy

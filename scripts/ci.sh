@@ -28,14 +28,18 @@
 #   --bench-smoke: builds bench_micro_sim + bench_micro_cache and checks
 #           the headline microbenches against absolute keys/s floors
 #           (a coarse "did someone reintroduce a per-event allocation or a
-#           per-arrival key render" tripwire, deliberately far below
-#           BENCH_kernel.json / BENCH_workload.json numbers so machine
-#           noise never fails CI). Also runs the sharded-calendar scaling
+#           per-arrival key render" tripwire, deliberately far below the
+#           medians recorded in CHANGES.md PRs 3 and 4 so machine noise
+#           never fails CI). Also runs the sharded-calendar scaling
 #           harness in fast mode: its built-in K-invariance check always
 #           applies; the wall-clock speedup floor (2x at 8 shards, below
-#           the 3x BENCH_shard.json headline) applies only when the
+#           the 3x claim of CHANGES.md PR 8) applies only when the
 #           machine has >= 8 cores — fewer cores time-slice the shards
 #           and the ratio measures the OS scheduler, not the engine.
+#           Last, runs the benchmark's self-test (perfbench/run.py
+#           --self-test): every workload's correctness gate must reject
+#           perturbed results and every BENCHMARK.json metric must be
+#           emitted with its unit.
 #
 # Usage: scripts/ci.sh [--tier1-only|--tsan-only|--asan-only|--bench-smoke]
 set -euo pipefail
@@ -103,9 +107,9 @@ if [[ "$run_bench_smoke" == 1 ]]; then
   python3 - "$smoke_json" "$smoke_json2" <<'EOF'
 import json, sys
 
-# Floors: ~4x below the BENCH_kernel.json / BENCH_workload.json "after"
-# medians, so only a real regression (e.g. a reintroduced per-event
-# allocation or per-arrival key render) can trip them.
+# Floors: ~4x below the medians recorded in CHANGES.md PRs 3 and 4, so
+# only a real regression (e.g. a reintroduced per-event allocation or
+# per-arrival key render) can trip them.
 floors = {
     "BM_ScheduleAndRunEvents": 3.0e6,
     "BM_MM1StationKeysPerSecond": 2.0e6,
@@ -116,7 +120,7 @@ floors = {
     "BM_LruStoreGetPrehashed": 0.8e6,
     # Pure index-probe path (ranks presampled): ~13-16M keys/s when the
     # flat index is healthy; anything near the ~8M/s unordered_map twin
-    # means the open-addressing probe regressed (BENCH_cache.json).
+    # means the open-addressing probe regressed (CHANGES.md PR 9).
     "BM_LruStoreGetPresampled": 3.0e6,
     # The whole engine stack end to end (PoissonSource → mapper → LruStore
     # → DbStage → ForkJoinJoiner): ~0.7M keys/s when healthy.
@@ -185,7 +189,7 @@ anchors = {r["servers"]: r["wall_s"] for r in rows if r["shards"] == 1}
 worst = min(
     anchors[r["servers"]] / r["wall_s"] for r in rows if r["shards"] == 8
 )
-# Floor at 2x: far enough under the 3x BENCH_shard.json headline that
+# Floor at 2x: far enough under the 3x claim of CHANGES.md PR 8 that
 # machine noise never fails CI, high enough that a serialization bug
 # (e.g. a barrier every event instead of every window) trips it.
 if worst < 2.0:
@@ -193,6 +197,9 @@ if worst < 2.0:
     sys.exit(1)
 print(f"ok shard smoke: 8-shard speedup {worst:.2f}x (floor 2.0x)")
 EOF
+
+  echo "==> bench smoke: benchmark self-test (perfbench)"
+  python3 perfbench/run.py --self-test
 fi
 
 echo "==> ci.sh: all requested tiers passed"

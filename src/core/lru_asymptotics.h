@@ -11,9 +11,9 @@
 //   miss ratio   m(C) = Σ_i p_i · e^{−p_i T_C}     (per-access misses)
 //
 // with p_i the access pmf and C the cache capacity in items. The churn
-// model-validation tier (tests/cluster/test_churn_model.cpp) and
-// bench_ext_ring_churn evaluate the *measured* post-rebalance steady-state
-// miss ratio of ≥128 rebalanced servers against this prediction — the
+// model-validation tier (tests/cluster/test_churn_model.cpp, ≥128 servers)
+// and perfbench's churn_sharded gate evaluate the *measured*
+// post-rebalance steady-state miss ratio against this prediction — the
 // equal-aggregate-capacity equivalence is exactly what a membership event
 // perturbs and what the steady state must return to.
 #pragma once

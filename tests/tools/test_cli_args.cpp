@@ -23,10 +23,12 @@ class Argv {
 };
 
 TEST(CliArgs, ParsesNumbersAndDefaults) {
-  Argv a({"prog", "cmd", "--kps", "55.5", "--servers", "6"});
+  Argv a({"prog", "cmd", "--kps", "55.5", "--servers", "6", "--seconds",
+          "2.5e-1"});
   CliArgs args(a.argc(), a.argv(), 2);
   EXPECT_DOUBLE_EQ(args.number("kps", 62.5, "rate"), 55.5);
   EXPECT_DOUBLE_EQ(args.number("servers", 4, "count"), 6.0);
+  EXPECT_DOUBLE_EQ(args.number("seconds", 1.0, "horizon"), 0.25);
   EXPECT_DOUBLE_EQ(args.number("absent", 1.25, "missing"), 1.25);
 }
 
@@ -106,6 +108,21 @@ TEST(CliArgsDeath, CountRejectsFractional) {
         (void)args.count("jobs", 1, "workers");
       },
       ::testing::ExitedWithCode(2), "positive integer");
+}
+
+// A value must be entirely one finite number: no garbage, no unit
+// suffix, no infinity.
+TEST(CliArgsDeath, NumberRejectsMalformedValues) {
+  for (const char* value : {"abc", "62.5k", "inf"}) {
+    EXPECT_EXIT(
+        {
+          Argv a({"prog", "cmd", "--kps", value});
+          CliArgs args(a.argc(), a.argv(), 2);
+          (void)args.number("kps", 62.5, "rate");
+        },
+        ::testing::ExitedWithCode(2), "--kps must be a finite number")
+        << value;
+  }
 }
 
 TEST(CliArgsDeath, RejectsPositionalArguments) {

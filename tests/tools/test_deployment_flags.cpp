@@ -99,5 +99,20 @@ TEST(DeploymentFlags, ShardJobsDefaultsToTheSerialLoop) {
   EXPECT_EQ(common.shard_jobs, 1u);
 }
 
+// These three flags are converted to unsigned types; a negative value must
+// be a usage error naming the flag, never an undefined conversion.
+TEST(DeploymentFlagsDeath, NegativeUnsignedFlagsAreRejected) {
+  for (const std::string flag : {"seed", "cache-mb", "keytable-budget-mb"}) {
+    EXPECT_EXIT(
+        {
+          tools::CliArgs args = make_args({"--" + flag, "-1"});
+          cluster::CommonConfig common;
+          tools::common_sim_flags_from(args, common);
+        },
+        ::testing::ExitedWithCode(2), "--" + flag + " must be non-negative")
+        << flag;
+  }
+}
+
 }  // namespace
 }  // namespace mclat

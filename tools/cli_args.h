@@ -4,6 +4,7 @@
 // ignoring them).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -36,13 +37,22 @@ class CliArgs {
   }
 
   /// Declares a flag (records help, returns the parsed or default value).
+  /// A value that is not entirely one finite number ("abc", "62.5k", "inf")
+  /// is a usage error (exit 2).
   [[nodiscard]] double number(const std::string& name, double def,
                               const std::string& help) {
     note(name, std::to_string(def), help);
     const auto it = values_.find(name);
     if (it == values_.end()) return def;
     seen_.insert(name);
-    return std::atof(it->second.c_str());
+    char* end = nullptr;
+    const double v = std::strtod(it->second.c_str(), &end);
+    if (end == it->second.c_str() || *end != '\0' || !std::isfinite(v)) {
+      std::fprintf(stderr, "--%s must be a finite number (got \"%s\")\n",
+                   name.c_str(), it->second.c_str());
+      std::exit(2);
+    }
+    return v;
   }
 
   /// Positive integer flag (>= 1) for counts like --jobs/--reps; a zero,

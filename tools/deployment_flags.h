@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "cluster/common_config.h"
@@ -86,6 +87,20 @@ inline core::SystemConfig deployment_config_from(CliArgs& args) {
   return cfg;
 }
 
+/// A number flag that is converted to an unsigned type: converting a
+/// negative double that way is undefined, so a negative value is a usage
+/// error (exit 2).
+inline double non_negative_number(CliArgs& args, const std::string& name,
+                                  double def, const std::string& help) {
+  const double v = args.number(name, def, help);
+  if (v < 0.0) {
+    std::fprintf(stderr, "--%s must be non-negative (got %g)\n",
+                 name.c_str(), v);
+    std::exit(2);
+  }
+  return v;
+}
+
 /// Declares the shared simulation knobs — `--seed`, `--real-cache`,
 /// `--cache-mb`, `--keytable-budget-mb`, `--coalesce`, `--shard-jobs` —
 /// with one spelling and one help string for
@@ -96,15 +111,15 @@ inline core::SystemConfig deployment_config_from(CliArgs& args) {
 /// from --seconds and replay from --measure-from.
 inline bool common_sim_flags_from(CliArgs& args,
                                   cluster::CommonConfig& common) {
-  common.seed =
-      static_cast<std::uint64_t>(args.number("seed", 1, "RNG seed"));
+  common.seed = static_cast<std::uint64_t>(
+      non_negative_number(args, "seed", 1, "RNG seed"));
   const bool real_cache = args.flag(
       "real-cache",
       "decide misses with a real per-server LRU cache (the miss ratio "
       "emerges from Zipf popularity and cache capacity)");
   common.cache_bytes_per_server = static_cast<std::size_t>(
-      args.number("cache-mb", 8.0,
-                  "per-server cache size in MiB (with --real-cache)") *
+      non_negative_number(args, "cache-mb", 8.0,
+                          "per-server cache size in MiB (with --real-cache)") *
       static_cast<double>(1u << 20));
   if (args.flag("coalesce",
                 "coalesce concurrent misses of one key into a single "
@@ -113,10 +128,11 @@ inline bool common_sim_flags_from(CliArgs& args,
     common.coalescing = cluster::MissCoalescing::kPerServer;
   }
   common.keytable_budget_bytes = static_cast<std::size_t>(
-      args.number("keytable-budget-mb", 0.0,
-                  "cap resident key-table metadata at this many MiB, "
-                  "evicting and deterministically rebuilding cold chunks "
-                  "(0 = unbounded; results are budget-invariant)") *
+      non_negative_number(
+          args, "keytable-budget-mb", 0.0,
+          "cap resident key-table metadata at this many MiB, evicting and "
+          "deterministically rebuilding cold chunks (0 = unbounded; results "
+          "are budget-invariant)") *
       static_cast<double>(1u << 20));
   common.shard_jobs = static_cast<std::size_t>(args.count(
       "shard-jobs", 1,
